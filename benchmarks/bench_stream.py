@@ -376,15 +376,15 @@ def run_runtime_serve(n=4_000, block=BLOCK, seed=7, workdir=None):
     stream = make_trips(n, seed=seed)
     scalar = build("serve-scalar")
     start = time.perf_counter()
-    scalar.serve(stream, block_size=1)
+    scalar_out = scalar.serve(stream, block_size=1)
     scalar_s = time.perf_counter() - start
 
     blocked = build("serve-blocked")
     start = time.perf_counter()
-    blocked.serve(stream, block_size=block)
+    blocked_out = blocked.serve(stream, block_size=block)
     blocked_s = time.perf_counter() - start
 
-    if blocked.inner.service.responses != scalar.inner.service.responses:
+    if blocked_out != scalar_out:
         raise AssertionError("serve responses diverged across block sizes")
     if scrub(blocked.inner.service.state_dict()) != scrub(
         scalar.inner.service.state_dict()

@@ -82,17 +82,16 @@ def main() -> None:
     fleet = Fleet(planner.stations, n_bikes=500, rng=np.random.default_rng(4))
     service = PlacementService(planner, fleet)
 
-    for trip in day:
-        service.handle_trip(trip)
+    responses = service.serve(day)
     service.consistency_check()
 
-    served = sum(1 for r in service.responses if r.served)
-    opened = [r for r in service.responses if r.opened_new]
+    served = sum(1 for r in responses if r.served)
+    opened = [r for r in responses if r.opened_new]
     near_venue = sum(
         1 for r in opened
         if service.station_location(r.destination_station).distance_to(venue) < 500
     )
-    print(f"\nserved {served}/{len(service.responses)} trips")
+    print(f"\nserved {served}/{len(responses)} trips")
     print(f"anchor stations: {anchor.n_stations}; opened online: {len(opened)} "
           f"({near_venue} near the concert venue)")
     print(f"stations retired after being emptied (footnote 2): {len(service.retired)}")

@@ -430,7 +430,7 @@ class EsharingPlanner:
             self._shift_absorbed = True
 
     # ------------------------------------------------------------------
-    def state_dict(self, include_history: bool = True) -> dict:
+    def state_dict(self) -> dict:
         """Checkpointable state for bit-identical crash recovery.
 
         Captures everything :meth:`offer` reads or writes — the station
@@ -442,13 +442,12 @@ class EsharingPlanner:
         is an arbitrary callable) and must be passed to
         :meth:`from_state` again.
 
-        Args:
-            include_history: also capture the decision trace.  Without it
-                the snapshot is O(state) instead of O(arrivals), at the
-                price that :meth:`result` reports only post-restore
-                decisions.
+        The in-memory decision trace is not captured: the state is
+        O(live state), not O(arrivals), and a restored planner's
+        :attr:`decisions` (hence :meth:`result`) covers only the
+        decisions made after the restore.
         """
-        state = {
+        return {
             "config": asdict(self.config),
             "k": self.k,
             "station_set": self.station_set.state_dict(),
@@ -466,21 +465,7 @@ class EsharingPlanner:
             "online_opened": list(self.online_opened),
             "similarity_history": list(self.similarity_history),
             "ks_seconds": self.ks_seconds,
-            "decisions": None,
         }
-        if include_history:
-            state["decisions"] = [
-                {
-                    "destination": [d.destination.x, d.destination.y],
-                    "station_index": d.station_index,
-                    "opened": d.opened,
-                    "walking_cost": d.walking_cost,
-                    "open_probability": d.open_probability,
-                    "penalty_name": d.penalty_name,
-                }
-                for d in self.decisions
-            ]
-        return state
 
     @classmethod
     def from_state(
@@ -514,17 +499,7 @@ class EsharingPlanner:
         penalty = state["penalty"]
         planner.penalty = PENALTY_REGISTRY[penalty["name"]](penalty["tolerance"])
         planner._live = LiveWindow.from_state(state["live"])
-        planner.decisions = [
-            EsharingDecision(
-                destination=Point(float(d["destination"][0]), float(d["destination"][1])),
-                station_index=int(d["station_index"]),
-                opened=bool(d["opened"]),
-                walking_cost=float(d["walking_cost"]),
-                open_probability=float(d["open_probability"]),
-                penalty_name=d["penalty_name"],
-            )
-            for d in (state["decisions"] or [])
-        ]
+        planner.decisions = []
         planner.walking = float(state["walking"])
         planner.space = float(state["space"])
         planner.online_opened = [int(i) for i in state["online_opened"]]

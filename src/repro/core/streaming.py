@@ -17,7 +17,7 @@ answers every location query straight from the shared store.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from ..datasets.trips import TripRecord
@@ -77,7 +77,10 @@ class PlacementService:
         self.planner = planner
         self.fleet = fleet
         self.retired: List[int] = []
-        self.responses: List[ServiceResponse] = []
+        # Trips handled so far.  The responses themselves are outcomes —
+        # returned to the caller, never kept — so the service's state
+        # stays sized by live state, not by uptime.
+        self.handled = 0
         # Inventory hook: every station the planner opens online gets a
         # rack in the fleet under the same stable id.
         planner.station_set.subscribe(on_add=self._rack_for_new_station)
@@ -125,7 +128,7 @@ class PlacementService:
                 origin_station=-1, destination_station=-1,
                 opened_new=False, removed_station=None, walking_m=0.0,
             )
-            self.responses.append(response)
+            self.handled += 1
             return response
 
         decision = self.planner.offer(trip.end)
@@ -151,7 +154,7 @@ class PlacementService:
             opened_new=decision.opened, removed_station=removed,
             walking_m=decision.walking_cost,
         )
-        self.responses.append(response)
+        self.handled += 1
         return response
 
     def degraded_assign(self, trip: TripRecord) -> ServiceResponse:
@@ -161,10 +164,10 @@ class PlacementService:
         The graceful-degradation answer when the planner is marked
         unhealthy: the rider is pointed at the nearest *active* station
         for both pickup and drop-off, nothing is opened or retired, no
-        bike moves, and the response is **not** recorded in
-        :attr:`responses` — the caller (the guarded runtime) owns the
-        degraded-decision ledger, because these answers are outside the
-        journaled history and must not contaminate bit-identical replay.
+        bike moves, and the trip does **not** count as :attr:`handled` —
+        the caller (the guarded runtime) owns the degraded-decision
+        ledger, because these answers are outside the journaled history
+        and must not contaminate bit-identical replay.
 
         Raises:
             StateDriftError: when no station is active at all (nothing
@@ -194,25 +197,25 @@ class PlacementService:
         loop — should call ``planner.replay`` directly.
 
         Returns:
-            The responses for this batch, in order (also appended to
-            :attr:`responses`).
+            The responses for this batch, in order.
         """
         return [self.handle_trip(t) for t in trips]
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Checkpointable state of the whole service: planner + fleet +
-        the response stream and retired-id ledger.
+        the retired-id ledger and the handled-trip counter.
 
         Everything needed to continue the run bit-identically after a
         crash, except the planner's opening-cost callable — pass that to
-        :meth:`from_state` again.
+        :meth:`from_state` again.  No response or decision history is
+        included: past outcomes were returned to their callers.
         """
         return {
             "planner": self.planner.state_dict(),
             "fleet": self.fleet.state_dict(),
             "retired": list(self.retired),
-            "responses": [asdict(r) for r in self.responses],
+            "handled": self.handled,
         }
 
     @classmethod
@@ -234,9 +237,7 @@ class PlacementService:
         fleet = Fleet.from_state(state["fleet"])
         service = cls(planner, fleet)
         service.retired = [int(sid) for sid in state["retired"]]
-        service.responses = [
-            ServiceResponse(**response) for response in state["responses"]
-        ]
+        service.handled = int(state["handled"])
         return service
 
     # ------------------------------------------------------------------

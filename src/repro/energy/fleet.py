@@ -5,6 +5,10 @@ Tier 2 operates on *sets of low-energy bikes per station* (the sets
 current station, replays trips to evolve the energy state, and reports the
 station -> low-energy-bike map that the incentive mechanism and the
 operator's tour planner consume.
+
+Per-station queries (:meth:`Fleet.bikes_at`, :meth:`Fleet.pick_bike`) go
+through a station -> bikes index, so they cost O(bikes at that station),
+not O(fleet): the online service asks them several times per trip.
 """
 
 from __future__ import annotations
@@ -21,17 +25,49 @@ from .battery import Battery, BatteryConfig, LOW_ENERGY_THRESHOLD
 __all__ = ["Bike", "Fleet", "StationEnergySnapshot"]
 
 
-@dataclass
 class Bike:
-    """One E-bike: identity, battery, and where it is parked."""
+    """One E-bike: identity, battery, and where it is parked.
 
-    bike_id: int
-    battery: Battery
-    station: int
+    Assigning :attr:`station` re-files the bike in its fleet's
+    per-station index, so the index cannot fall out of step with the
+    bikes; :meth:`Fleet.move` is the checked way to do it.
+    """
+
+    def __init__(self, bike_id: int, battery: Battery, station: int) -> None:
+        self.bike_id = bike_id
+        self.battery = battery
+        self._station = station
+        self._fleet: Optional["Fleet"] = None
+
+    @property
+    def station(self) -> int:
+        """Index of the station the bike is parked at."""
+        return self._station
+
+    @station.setter
+    def station(self, station: int) -> None:
+        if self._fleet is not None:
+            self._fleet._refile(self, station)
+        self._station = station
 
     @property
     def is_low(self) -> bool:
         return self.battery.is_low
+
+    def __repr__(self) -> str:
+        return (
+            f"Bike(bike_id={self.bike_id!r}, battery={self.battery!r}, "
+            f"station={self._station!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bike_id, self.battery, self._station) == (
+            other.bike_id, other.battery, other._station
+        )
+
+    __hash__ = None  # mutable and compared by value, like a dataclass
 
 
 @dataclass(frozen=True)
@@ -99,6 +135,7 @@ class Fleet:
             self.bikes.append(
                 Bike(bike_id=i, battery=Battery(cfg, level), station=i % len(self.stations))
             )
+        self._reindex()
 
     def __len__(self) -> int:
         return len(self.bikes)
@@ -131,7 +168,9 @@ class Fleet:
 
         Raises:
             KeyError: on a missing field.
-            ValueError: on out-of-range levels or battery parameters.
+            ValueError: on out-of-range levels or battery parameters,
+                bike ids that are not ``0..n-1`` in order, or a bike
+                parked at an unknown station.
         """
         fleet = cls.__new__(cls)
         fleet.stations = [Point(float(x), float(y)) for x, y in state["stations"]]
@@ -145,7 +184,42 @@ class Fleet:
             )
             for b in state["bikes"]
         ]
+        for position, bike in enumerate(fleet.bikes):
+            if bike.bike_id != position:
+                raise ValueError(
+                    f"bike at position {position} has id {bike.bike_id}; "
+                    "bike ids must be 0..n-1 in order"
+                )
+        fleet._reindex()
         return fleet
+
+    def _reindex(self) -> None:
+        """Rebuild the station -> bikes index from :attr:`bikes`.
+
+        Runs at construction and whenever :attr:`bikes` changed length
+        behind the fleet's back (bikes appended or removed directly);
+        station moves keep the index current on their own.
+        """
+        racks: List[Dict[int, Bike]] = [{} for _ in self.stations]
+        for bike in self.bikes:
+            self._check_station(bike._station)
+            bike._fleet = self
+            racks[bike._station][bike.bike_id] = bike
+        self._racks = racks
+        self._indexed = len(self.bikes)
+
+    def _refile(self, bike: Bike, station: int) -> None:
+        """Index hook of :attr:`Bike.station`: move ``bike`` to ``station``'s rack."""
+        self._check_station(station)
+        self._racks[bike._station].pop(bike.bike_id, None)
+        self._racks[station][bike.bike_id] = bike
+
+    def _rack(self, station: int) -> Dict[int, Bike]:
+        """The bikes parked at ``station``, keyed by id (index lookup)."""
+        self._check_station(station)
+        if self._indexed != len(self.bikes):
+            self._reindex()
+        return self._racks[station]
 
     def add_station(self, location: Point) -> int:
         """Register a new (empty) station rack; returns its index.
@@ -156,12 +230,27 @@ class Fleet:
         join the fleet with no bikes.
         """
         self.stations.append(location)
+        self._racks.append({})
         return len(self.stations) - 1
 
     def bikes_at(self, station: int) -> List[Bike]:
-        """Bikes currently parked at ``station``."""
-        self._check_station(station)
-        return [b for b in self.bikes if b.station == station]
+        """Bikes currently parked at ``station``, in bike-id order.
+
+        An index lookup: O(bikes at the station), independent of the
+        fleet size.
+        """
+        rack = self._rack(station)
+        return [rack[bike_id] for bike_id in sorted(rack)]
+
+    def move(self, bike_id: int, station: int) -> None:
+        """Relocate a bike to ``station`` without riding it (no battery
+        drain) — a truck move, as rebalancing does.
+
+        Raises:
+            KeyError: if the bike id is unknown.
+            ValueError: if the target station is invalid.
+        """
+        self._bike(bike_id).station = station
 
     def low_energy_map(self) -> Dict[int, List[int]]:
         """Station -> list of low-energy bike ids (the L_i sets)."""
@@ -213,17 +302,29 @@ class Fleet:
         Riders naturally prefer the highest-charge bike; the incentive
         mechanism instead asks for a *low*-energy one (``prefer_low``).
         Returns ``None`` when the station is empty, or when ``prefer_low``
-        is set and no low-energy bike is present.
+        is set and no low-energy bike is present.  Ties on charge level
+        go to the lower bike id, so the choice does not depend on the
+        order bikes arrived in; the cost is O(bikes at the station).
         """
-        bikes = self.bikes_at(station)
-        if not bikes:
+        rack = self._rack(station)
+        if not rack:
             return None
         if prefer_low:
-            low = [b for b in bikes if b.battery.level < self.threshold]
+            threshold = self.threshold
+            low = [b for b in rack.values() if b.battery.level < threshold]
             if not low:
                 return None
             return min(low, key=lambda b: (b.battery.level, b.bike_id))
-        return max(bikes, key=lambda b: (b.battery.level, -b.bike_id))
+        # max by (level, -bike_id), unrolled: the pickup's hot loop.
+        best: Optional[Bike] = None
+        top = 0.0
+        for bike in rack.values():
+            level = bike.battery.level
+            if best is None or level > top or (
+                level == top and bike.bike_id < best.bike_id
+            ):
+                best, top = bike, level
+        return best
 
     def recharge_station(self, station: int) -> int:
         """Operator services a station: recharge all low-energy bikes there.

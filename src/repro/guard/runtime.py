@@ -696,7 +696,9 @@ class GuardedRuntime:
         the failure, so the recovery replay applies not just the failing
         trip but every journaled trip after it too (the write-ahead
         contract: journaled means applied on recovery).  The replayed
-        responses are matched back to the chunk's tail positions;
+        tail's responses (``last_recovery.responses``; those past the
+        pre-failure applied seq) are matched back to the chunk's tail
+        positions;
         duplicates screened before the commit stay ``None``; a trip the
         healed service has no response for (the failure hit before its
         journal record, which group commit makes impossible for fresh
@@ -726,7 +728,8 @@ class GuardedRuntime:
             f"replayed {healed.last_recovery.replayed})",
         )
         gained = healed.applied_seq - before
-        tail = list(healed.service.responses[-gained:]) if gained > 0 else []
+        replayed = healed.last_recovery.responses
+        tail = list(replayed[-gained:]) if gained > 0 else []
         outcomes: List = []
         applied = 0
         next_tail = 0
@@ -803,7 +806,8 @@ class GuardedRuntime:
 
         The failed trip was journaled before the planner raised, so the
         recovery replay re-applies it through a healthy (re-guarded)
-        planner; its response is the heal's return value.  When the trip
+        planner; its response — the last of ``last_recovery.responses``
+        — is the heal's return value.  When the trip
         never reached the journal (the failure hit earlier), the healed
         service simply has no response for it and the event is served
         degraded instead — at-least-once upstream delivery covers it.
@@ -831,9 +835,10 @@ class GuardedRuntime:
             f"(snapshot {healed.last_recovery.snapshot_seq}, "
             f"replayed {healed.last_recovery.replayed})",
         )
-        if healed.applied_seq > before and healed.service.responses:
+        replayed = healed.last_recovery.responses
+        if healed.applied_seq > before and replayed:
             self.served += 1
-            return healed.service.responses[-1]
+            return replayed[-1]
         return self._degraded(trip, "self-heal lost the event")
 
     # ------------------------------------------------------------------

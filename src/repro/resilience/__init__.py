@@ -6,11 +6,13 @@ stream accumulate for days.  This subsystem makes that tier survive
 crashes with **bit-identical recovery**:
 
 * :class:`SnapshotStore` — versioned, checksummed, atomically-written
-  snapshots of the full mutable state (torn files are detected and
-  skipped to the previous good snapshot);
+  snapshots of the live mutable state, sized by live state rather than
+  by history (torn files are detected and skipped to the previous good
+  snapshot);
 * :class:`TripJournal` — a write-ahead log of every trip, so
   ``restore(snapshot) + replay(journal tail)`` reproduces the exact
-  state and response stream an uninterrupted run would have produced;
+  state an uninterrupted run would have reached, and the replay's
+  responses complete its outcome stream;
 * :class:`CheckpointingService` — the crash-safe wrapper gluing the two
   around a :class:`~repro.core.streaming.PlacementService`;
 * :class:`FaultInjector` — chaos tooling that injects crashes,

@@ -443,22 +443,23 @@ def _smoke(trips: int, crash_at: int, seed: int) -> int:
     try:
         # Reference: uninterrupted run.
         reference = build_service()
-        for r in records:
-            reference.handle_trip(r)
+        expected = [reference.handle_trip(r) for r in records]
 
-        # Crash after crash_at trips, recover, finish, compare bit-for-bit.
+        # Crash after crash_at trips, recover, finish, compare bit-for-bit:
+        # recovered state + replayed outcomes == never-crashed.
         wrapped = CheckpointingService(
             build_service(), workdir / "run", checkpoint_every=50,
             durable=False, facility_cost_spec=constant_cost_spec(cost_value),
         )
-        for r in records[:crash_at]:
-            wrapped.handle_trip(r)
+        served = [wrapped.handle_trip(r) for r in records[:crash_at]]
         wrapped.close()  # the "crash": the in-memory object is abandoned
         recovered = CheckpointingService.recover(workdir / "run", durable=False)
-        for r in records[crash_at:]:
-            recovered.handle_trip(r)
+        info = recovered.last_recovery
+        replayed = info.replayed
+        outcomes = served[: info.snapshot_seq] + list(info.responses)
+        outcomes += [recovered.handle_trip(r) for r in records[crash_at:]]
         recovered.consistency_check()
-        if recovered.service.responses != reference.responses:
+        if outcomes != expected:
             print("FAIL: recovered response stream diverged from reference")
             failures += 1
         ref_state = reference.state_dict()
@@ -475,8 +476,14 @@ def _smoke(trips: int, crash_at: int, seed: int) -> int:
         FaultInjector.corrupt_file(newest, mode="truncate")
         fallback = CheckpointingService.recover(workdir / "run", durable=False)
         fallback.consistency_check()
-        if fallback.service.responses != reference.responses:
+        info = fallback.last_recovery
+        if outcomes[: info.snapshot_seq] + list(info.responses) != expected:
             print("FAIL: fallback recovery diverged from reference")
+            failures += 1
+        fb_state = fallback.service.state_dict()
+        fb_state["planner"]["ks_seconds"] = 0.0
+        if fb_state != ref_state:
+            print("FAIL: fallback recovered state diverged from reference")
             failures += 1
         fallback.close()
 
@@ -514,8 +521,9 @@ def _smoke(trips: int, crash_at: int, seed: int) -> int:
         print(f"chaos smoke: {failures} failure(s)")
         return 1
     print(
-        f"chaos smoke OK: {trips} trips, crash at {crash_at}, "
-        "torn-snapshot fallback and simulator mid-period recovery verified"
+        f"chaos smoke OK: {trips} trips, crash at {crash_at} "
+        f"({replayed} replayed), torn-snapshot fallback and simulator "
+        "mid-period recovery verified"
     )
     return 0
 

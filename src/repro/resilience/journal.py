@@ -7,9 +7,11 @@ long as any state a snapshot can capture.  Recovery is then::
     restore(latest good snapshot)        # state through journal seq S
     replay(journal entries with seq > S) # the tail the crash cut off
 
-and reproduces the exact state and response stream of an uninterrupted
-run — the trips are the only input, and the restored RNG replays the
-same coin flips.
+and reproduces the exact state of an uninterrupted run, with the tail's
+responses as the replay's outcomes — the trips are the only input, and
+the restored RNG replays the same coin flips.  The replay is one pass
+over the file: every record's checksum and sequence number is verified,
+but only the tail past ``S`` is decoded.
 
 Record format, one per line::
 
@@ -24,9 +26,11 @@ anywhere earlier means the file cannot be trusted and raises
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, List, Optional, Sequence, Union
+from typing import IO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -151,6 +155,33 @@ def _decode_line(line: str) -> Optional[JournalEntry]:
         return None
 
 
+_SEQ_PREFIX = re.compile(r'\{"seq":(0|[1-9][0-9]*),"trip":')
+"""The canonical record body's opening: ``json.dumps(sort_keys=True)``
+puts ``seq`` before ``trip``, so its value is readable without parsing
+the rest of the line."""
+
+
+def _verified_seq(line: str, upto: int) -> Optional[int]:
+    """Sequence number of an intact canonical record with ``seq <= upto``,
+    read from its checksum-verified ``{"seq":N,"trip":`` prefix without
+    decoding the trip.
+
+    ``None`` for everything else — a record past ``upto``, a failed
+    checksum, a body that does not open canonically — which the caller
+    hands to :func:`_decode_line` so it is classified exactly as before.
+    """
+    digest, sep, body = line.rstrip("\n").partition(" ")
+    match = _SEQ_PREFIX.match(body)
+    if not sep or match is None or len(digest) != CHECKSUM_PREFIX_LEN:
+        return None
+    seq = int(match.group(1))
+    if seq > upto:
+        return None
+    if checksum_hex(body.encode("utf-8"))[:CHECKSUM_PREFIX_LEN] != digest:
+        return None
+    return seq
+
+
 class TripJournal:
     """Append-only write-ahead log of trips, one checksummed line each.
 
@@ -170,13 +201,24 @@ class TripJournal:
         self.path = Path(path)
         self.durable = durable
         self._fh: Optional[IO[str]] = None
-        self._next_seq = self._scan_tail() + 1
+        self._next_seq = self._read(sys.maxsize)[0] + 1
 
-    def _scan_tail(self) -> int:
-        if not self.path.exists():
-            return 0
-        entries = self.scan()
-        return entries[-1].seq if entries else 0
+    @classmethod
+    def resume(
+        cls, path: Union[str, Path], after_seq: int, durable: bool = True
+    ) -> Tuple["TripJournal", List[JournalEntry]]:
+        """Open an existing journal for appending and return its records
+        with ``seq > after_seq``, reading the file once (:meth:`replay`).
+
+        Raises:
+            JournalCorruptError: as for :meth:`scan`.
+        """
+        journal = cls.__new__(cls)
+        journal.path = Path(path)
+        journal.durable = durable
+        journal._fh = None
+        journal._next_seq = 1
+        return journal, journal.replay(after_seq)
 
     # ------------------------------------------------------------------
     @property
@@ -258,36 +300,60 @@ class TripJournal:
                 intact one (mid-file corruption — the log cannot be
                 trusted) or if sequence numbers are not consecutive.
         """
+        return self._read(0)[1]
+
+    def replay(self, after_seq: int = 0) -> List[JournalEntry]:
+        """Records with ``seq > after_seq`` — the tail a recovery applies.
+
+        One pass over the file that verifies every record exactly as
+        :meth:`scan` does (checksum, sequence continuity, torn-tail
+        tolerance) but decodes only the records past ``after_seq``.  The
+        pass reads the durable tail, so :attr:`next_seq` follows the file
+        afterwards.
+
+        Raises:
+            JournalCorruptError: as for :meth:`scan`.
+        """
+        last, tail = self._read(after_seq)
+        self._next_seq = last + 1
+        return tail
+
+    def _read(self, after_seq: int) -> Tuple[int, List[JournalEntry]]:
+        """The verified pass behind :meth:`scan` and :meth:`replay`:
+        ``(last intact seq, decoded records with seq > after_seq)``.
+
+        Records at or below ``after_seq`` are identified by their
+        checksum-verified sequence prefix (:func:`_verified_seq`); only
+        the rest are JSON- and trip-decoded.
+        """
         if not self.path.exists():
-            return []
-        entries: List[JournalEntry] = []
+            return 0, []
+        tail: List[JournalEntry] = []
+        last: Optional[int] = None
         torn_at: Optional[int] = None
         with open(self.path, "r", encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
                 if line.strip() == "":
                     continue
-                entry = _decode_line(line)
-                if entry is None:
-                    # Tolerated only as the very last record (torn append).
-                    torn_at = line_no
-                    continue
+                seq = _verified_seq(line, after_seq)
+                if seq is None:
+                    entry = _decode_line(line)
+                    if entry is None:
+                        # Tolerated only as the very last record (torn append).
+                        torn_at = line_no
+                        continue
+                    seq = entry.seq
+                    if seq > after_seq:
+                        tail.append(entry)
                 if torn_at is not None:
                     raise JournalCorruptError(
                         f"{self.path}: damaged record at line {torn_at} is "
                         "followed by intact records — journal unusable"
                     )
-                if entries and entry.seq != entries[-1].seq + 1:
+                if last is not None and seq != last + 1:
                     raise JournalCorruptError(
-                        f"{self.path}: sequence jump {entries[-1].seq} -> "
-                        f"{entry.seq} at line {line_no}"
+                        f"{self.path}: sequence jump {last} -> "
+                        f"{seq} at line {line_no}"
                     )
-                entries.append(entry)
-        return entries
-
-    def replay(self, after_seq: int = 0) -> List[JournalEntry]:
-        """Records with ``seq > after_seq`` — the tail a recovery applies.
-
-        Raises:
-            JournalCorruptError: as for :meth:`scan`.
-        """
-        return [e for e in self.scan() if e.seq > after_seq]
+                last = seq
+        return (0 if last is None else last), tail

@@ -10,10 +10,15 @@ protocol::
 
 so that after any crash, ``recover(directory)`` = *latest good snapshot*
 + *journal tail replay* reproduces the exact in-memory state — station
-set, fleet batteries, RNG bit stream, response list — the uninterrupted
-run would have had.  Duplicate deliveries (an at-least-once upstream
-queue redelivering a trip) are screened by order id before they reach
-the journal, so replay never double-applies.
+set, fleet batteries, RNG bit stream, handled-trip counter — the
+uninterrupted run would have had.  The contract is *recovered state +
+replayed outcomes == never-crashed*: snapshots hold only what the next
+decision depends on, so their size follows live state rather than
+uptime, and the responses are outcomes — the return values callers
+already got, plus :attr:`RecoveryInfo.responses` for the replayed tail.
+Duplicate deliveries (an at-least-once upstream queue redelivering a
+trip) are screened by order id before they reach the journal, so replay
+never double-applies.
 
 The planner's opening-cost function is a callable and cannot be
 serialised; snapshots carry an optional declarative *spec* for the
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.costs import FacilityCostFn, constant_facility_cost
 from ..core.streaming import PlacementService, ServiceResponse
@@ -86,11 +91,15 @@ class RecoveryInfo:
             through (0 = the genesis snapshot).
         replayed: journal-tail records re-applied on top of it.
         snapshot_path: file the state was restored from.
+        responses: the service's responses to the replayed tail, in
+            journal order — the outcomes a crash cut off, which the
+            recovered state alone no longer carries.
     """
 
     snapshot_seq: int
     replayed: int
     snapshot_path: Optional[Path]
+    responses: Tuple[ServiceResponse, ...] = ()
 
 
 class CheckpointingService:
@@ -105,7 +114,8 @@ class CheckpointingService:
 
     Args:
         service: the live service to protect.  Must not have served any
-            trips yet (its response ledger seeds the journal accounting).
+            trips yet (its handled-trip counter seeds the journal
+            accounting).
         directory: checkpoint directory (snapshots + journal).
         checkpoint_every: trips between periodic snapshots (>= 1).
         keep: snapshot generations to retain.
@@ -139,7 +149,7 @@ class CheckpointingService:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
             )
-        if service.responses:
+        if service.handled:
             raise ValueError(
                 "service has already handled trips; wrap it before serving "
                 "(or rebuild via CheckpointingService.recover)"
@@ -173,7 +183,7 @@ class CheckpointingService:
         """Serve one trip under the write-ahead protocol.
 
         Returns ``None`` for a screened duplicate (its original response
-        is already in ``service.responses``); otherwise the service's
+        was returned when it was first served); otherwise the service's
         response.  The trip is durably journaled *before* any state
         mutates, so a crash at any point is recoverable.
         """
@@ -250,7 +260,8 @@ class CheckpointingService:
         return responses
 
     def checkpoint(self) -> Path:
-        """Write a snapshot of the full service state now.
+        """Write a snapshot of the service's live state now (no response
+        or decision history: its size does not grow with uptime).
 
         Returns:
             The snapshot's path.
@@ -280,9 +291,12 @@ class CheckpointingService:
 
         Loads the newest *good* snapshot (torn files are skipped), then
         replays the journal tail beyond it — reproducing exactly the
-        state an uninterrupted run would hold.  Recovery is read-only
-        until new trips arrive, so recovering twice from the same
-        directory yields identical services.
+        state an uninterrupted run would hold; the tail's responses are
+        in ``last_recovery.responses``.  The journal is read once: every
+        record is checksum- and sequence-verified, only the tail is
+        decoded.  Recovery is read-only until new trips arrive, so
+        recovering twice from the same directory yields identical
+        services.
 
         Args:
             directory: the checkpoint directory to resume.
@@ -305,7 +319,9 @@ class CheckpointingService:
         Raises:
             SnapshotError: when no usable snapshot exists.
             SnapshotVersionError: on a format-version mismatch.
-            JournalCorruptError: on mid-file journal damage.
+            JournalCorruptError: on journal damage anywhere but a torn
+                final record, or a sequence jump — before the snapshot's
+                seq as well as after it.
             ValueError: when neither a spec nor ``facility_cost`` is
                 available.
         """
@@ -329,20 +345,23 @@ class CheckpointingService:
         wrapper.dedup = bool(payload.get("dedup", True))
         wrapper.facility_cost_spec = spec
         wrapper.store = store
-        wrapper.journal = TripJournal(directory / JOURNAL_NAME, durable=durable)
         wrapper._applied = int(payload["applied"])
         wrapper._seen = set(payload.get("seen_orders", []))
-        tail = wrapper.journal.replay(after_seq=wrapper._applied)
+        wrapper.journal, tail = TripJournal.resume(
+            directory / JOURNAL_NAME, after_seq=wrapper._applied, durable=durable
+        )
+        responses = []
         for entry in tail:
             # Already journaled (and already deduped at ingestion): apply
             # directly, without re-appending.
-            wrapper.service.handle_trip(entry.trip)
+            responses.append(wrapper.service.handle_trip(entry.trip))
             wrapper._seen.add(entry.trip.order_id)
             wrapper._applied = entry.seq
         wrapper.last_recovery = RecoveryInfo(
             snapshot_seq=snapshot.seq,
             replayed=len(tail),
             snapshot_path=snapshot.path,
+            responses=tuple(responses),
         )
         return wrapper
 
@@ -352,14 +371,14 @@ class CheckpointingService:
 
         Raises:
             StateDriftError: on planner/fleet drift or journal-accounting
-                drift (every applied trip must have produced exactly one
-                response).
+                drift (every applied trip must have been handled exactly
+                once).
         """
         self.service.consistency_check()
-        if len(self.service.responses) != self._applied:
+        if self.service.handled != self._applied:
             raise StateDriftError(
                 f"journal says {self._applied} trips applied but the service "
-                f"holds {len(self.service.responses)} responses"
+                f"handled {self.service.handled}"
             )
         if self._applied >= self.journal.next_seq:
             raise StateDriftError(

@@ -4,7 +4,7 @@ File format (two lines of JSON):
 
 .. code-block:: text
 
-    {"format": "esharing-snapshot", "version": 1, "checksum": "<sha256>"}
+    {"format": "esharing-snapshot", "version": 2, "checksum": "<sha256>"}
     {... payload ...}
 
 The payload line is canonical JSON (sorted keys, no whitespace) and the
@@ -46,8 +46,12 @@ __all__ = [
 SNAPSHOT_FORMAT = "esharing-snapshot"
 """Magic format name embedded in every snapshot header."""
 
-SNAPSHOT_VERSION = 1
-"""Current snapshot format version; bumped on incompatible changes."""
+SNAPSHOT_VERSION = 2
+"""Current snapshot format version; bumped on incompatible changes.
+
+Version 2 dropped the response and decision histories from the service
+payload (a ``handled`` counter replaces the response list), so version-1
+snapshots are refused rather than misread."""
 
 _NAME_RE = re.compile(r"^snapshot-(\d{10})\.json$")
 

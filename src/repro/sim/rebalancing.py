@@ -153,12 +153,9 @@ def rebalance_fleet(
         _, s, d = best
         count = int(min(counts[s] - tgt[s], tgt[d] - counts[d], budget - bikes_moved))
         # Ship the highest-charge bikes.
-        movers = sorted(
-            (b for b in fleet.bikes if b.station == s),
-            key=lambda b: -b.battery.level,
-        )[:count]
+        movers = sorted(fleet.bikes_at(s), key=lambda b: -b.battery.level)[:count]
         for b in movers:
-            b.station = d
+            fleet.move(b.bike_id, d)
         counts[s] -= count
         counts[d] += count
         bikes_moved += count

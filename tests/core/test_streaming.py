@@ -132,9 +132,15 @@ class TestHandleTrip:
         service.consistency_check()
 
     def test_responses_recorded(self, service):
-        for i in range(5):
+        # Responses are returned, not kept; the service counts them.
+        responses = [
             service.handle_trip(make_trip(i, Point(0, 5), Point(1000, 5)))
-        assert len(service.responses) == 5
+            for i in range(5)
+        ]
+        assert [r.order_id for r in responses] == list(range(5))
+        assert service.handled == 5
+        assert "responses" not in service.state_dict()
+        assert service.state_dict()["handled"] == 5
 
 
 class TestStateDriftGuards:

@@ -31,6 +31,7 @@ from repro.guard import (
 from repro.resilience import CheckpointingService, constant_cost_spec
 from repro.resilience.chaos import ChaosConfig, FaultInjector
 
+from ..oracles.outcomes import recovered_outcomes, responses_of
 from .conftest import COST_VALUE, build_service, guard_config, make_trips, scrub
 
 CHECKPOINT_EVERY = 25
@@ -168,10 +169,7 @@ class TestRuntimeBlockParity:
             out = runtime.serve(trips, block_size=size)
             runtime.consistency_check()
             assert out == oracle_out, f"outcomes diverged at block_size={size}"
-            assert (
-                runtime.inner.service.responses
-                == oracle.inner.service.responses
-            )
+            assert runtime.inner.service.handled == oracle.inner.service.handled
             assert scrub(runtime.inner.service.state_dict()) == scrub(
                 oracle.inner.service.state_dict()
             )
@@ -182,17 +180,15 @@ class TestRuntimeBlockParity:
     def test_hostile_stream_bit_identical(self, tmp_path):
         hostile = hostile_stream(n=100, seed=21)
         oracle = wrap(tmp_path / "oracle", seed=21)
-        oracle.serve(hostile, block_size=1)
+        oracle_out = oracle.serve(hostile, block_size=1)
         oracle.consistency_check()
         assert oracle.sink.total > 0, "chaos produced no rejections"
         for size in BLOCK_SIZES:
             runtime = wrap(tmp_path / f"bs{size}", seed=21)
-            runtime.serve(hostile, block_size=size)
+            out = runtime.serve(hostile, block_size=size)
             runtime.consistency_check()
-            assert (
-                runtime.inner.service.responses
-                == oracle.inner.service.responses
-            )
+            assert out == oracle_out
+            assert runtime.inner.service.handled == oracle.inner.service.handled
             assert runtime.validator.counters == oracle.validator.counters
             assert runtime.sink.by_rule == oracle.sink.by_rule
             assert (runtime.served, runtime.duplicates) == (
@@ -227,10 +223,10 @@ class TestBlockedSelfHeal:
     def test_mid_block_planner_fault_heals_to_oracle_state(self, tmp_path):
         trips = make_trips(60, seed=7)
         reference = wrap(tmp_path / "ref")
-        reference.serve(trips, block_size=1)
+        expected = reference.serve(trips, block_size=1)
 
         runtime = wrap(tmp_path / "faulty")
-        runtime.ingest_block(TripBlock.from_trips(trips[:30]))
+        outcomes = runtime.ingest_block(TripBlock.from_trips(trips[:30]))
         planner = runtime.inner.service.planner
 
         def poisoned_offer(point):
@@ -239,15 +235,12 @@ class TestBlockedSelfHeal:
         planner.offer = poisoned_offer
         # The fault fires mid-block; the group commit already journaled
         # the chunk, so recovery replays it with the healed planner.
-        runtime.ingest_block(TripBlock.from_trips(trips[30:]))
-        runtime.finish()
+        outcomes += runtime.ingest_block(TripBlock.from_trips(trips[30:]))
+        outcomes += runtime.finish()
         runtime.consistency_check()
         assert runtime.healed >= 1
         assert runtime.incidents.by_kind["planner_error"] >= 1
-        assert (
-            runtime.inner.service.responses
-            == reference.inner.service.responses
-        )
+        assert outcomes == expected
         assert scrub(runtime.inner.service.state_dict()) == scrub(
             reference.inner.service.state_dict()
         )
@@ -260,14 +253,15 @@ class TestKillAtEveryBlock:
         size = 7
         hostile = hostile_stream(n=45, seed=21)
         reference = wrap(tmp_path / "ref", seed=21)
-        reference.serve(hostile, block_size=size)
+        expected = responses_of(reference.serve(hostile, block_size=size))
         reference.consistency_check()
 
         boundaries = list(range(size, len(hostile) + size, size))
         for k in boundaries:
             victim = wrap(tmp_path / f"kill-{k}", seed=21)
+            before = []
             for lo in range(0, min(k, len(hostile)), size):
-                victim.ingest_block(
+                before += victim.ingest_block(
                     TripBlock.from_trips(hostile[lo : lo + size])
                 )
             victim.close()  # the crash: buffered arrivals are lost
@@ -276,12 +270,11 @@ class TestKillAtEveryBlock:
                 tmp_path / f"kill-{k}", config=guard_config(),
                 checkpoint_every=CHECKPOINT_EVERY, durable=False,
             )
-            resumed.serve(hostile, block_size=size)  # full redelivery
+            after = resumed.serve(hostile, block_size=size)  # full redelivery
             resumed.consistency_check()
-            assert (
-                resumed.inner.service.responses
-                == reference.inner.service.responses
-            ), f"responses diverged after crash at block boundary {k}"
+            assert recovered_outcomes(before, resumed.inner) + responses_of(
+                after
+            ) == expected, f"responses diverged after crash at block boundary {k}"
             assert scrub(resumed.inner.service.state_dict()) == scrub(
                 reference.inner.service.state_dict()
             ), f"state diverged after crash at block boundary {k}"

@@ -22,6 +22,7 @@ from repro.resilience.chaos import ChaosConfig, FaultInjector
 
 import numpy as np
 
+from ..oracles.outcomes import recovered_outcomes, responses_of
 from .conftest import COST_VALUE, build_service, guard_config, make_trips, scrub
 
 CHECKPOINT_EVERY = 15
@@ -54,14 +55,15 @@ class TestKillAtEveryTrip:
     def test_bit_identical_recovery_from_every_kill_point(self, tmp_path):
         hostile = hostile_stream()
         reference = wrap(tmp_path / "ref")
-        reference.serve(hostile)
+        expected = responses_of(reference.serve(hostile))
         reference.consistency_check()
         assert reference.duplicates > 0, "chaos produced no duplicates"
 
         for k in range(1, len(hostile) + 1):
             victim = wrap(tmp_path / f"kill-{k}")
+            before = []
             for trip in hostile[:k]:
-                victim.ingest(trip)
+                before.extend(victim.ingest(trip))
             victim.close()  # the crash: buffered arrivals are lost
 
             resumed = GuardedRuntime.recover(
@@ -72,12 +74,11 @@ class TestKillAtEveryTrip:
             # The guard layer re-derives its state from the sequence and
             # the journal-backed duplicate screen drops what the dead
             # run already served.
-            resumed.serve(hostile)
+            after = resumed.serve(hostile)
             resumed.consistency_check()
-            assert (
-                resumed.inner.service.responses
-                == reference.inner.service.responses
-            ), f"responses diverged after crash at arrival {k}"
+            assert recovered_outcomes(before, resumed.inner) + responses_of(
+                after
+            ) == expected, f"responses diverged after crash at arrival {k}"
             assert scrub(resumed.inner.service.state_dict()) == scrub(
                 reference.inner.service.state_dict()
             ), f"state diverged after crash at arrival {k}"
@@ -122,19 +123,20 @@ class TestScenarioDeterminism:
             runtime.guarded_ks.inner.test, "ks", rate=0.6
         )
 
+        outcomes = []
         for trip in hostile[:35]:
-            runtime.ingest(trip)
+            outcomes.extend(runtime.ingest(trip))
         # a deterministic planner outage: two forced failures trip the
         # breaker open, so the next emissions serve degraded
         runtime.breakers["planner"].failure()
         runtime.breakers["planner"].failure()
         for trip in hostile[35:]:
-            runtime.ingest(trip)
-        runtime.finish()
+            outcomes.extend(runtime.ingest(trip))
+        outcomes.extend(runtime.finish())
         runtime.consistency_check()
 
         fingerprint = (
-            runtime.inner.service.responses,
+            outcomes,
             scrub(runtime.inner.service.state_dict()),
             list(runtime.incidents.rows),
             {name: b.transitions for name, b in runtime.breakers.items()},

@@ -17,6 +17,7 @@ from repro.incentives.charging_cost import ChargingCostParams
 from repro.incentives.mechanism import IncentiveMechanism
 from repro.resilience import CheckpointingService, constant_cost_spec
 
+from ..oracles.outcomes import recovered_outcomes, responses_of
 from .conftest import COST_VALUE, build_service, guard_config, make_trips, scrub
 
 
@@ -37,13 +38,14 @@ class TestZeroFaultParity:
             build_service(seed=7), tmp_path / "plain", checkpoint_every=25,
             durable=False, facility_cost_spec=constant_cost_spec(COST_VALUE),
         )
-        plain.serve(trips)
+        expected = plain.serve(trips)
         runtime = wrap(tmp_path)
-        runtime.serve(trips)
+        outcomes = runtime.serve(trips)
         runtime.consistency_check()
         assert runtime.health == HEALTHY
         assert runtime.sink.total == 0 and runtime.incidents.total == 0
-        assert runtime.inner.service.responses == plain.service.responses
+        assert responses_of(outcomes) == responses_of(expected)
+        assert runtime.inner.service.handled == plain.service.handled
         assert scrub(runtime.inner.service.state_dict()) == scrub(
             plain.service.state_dict()
         )
@@ -51,21 +53,23 @@ class TestZeroFaultParity:
     def test_duplicates_screened_through_the_guarded_path(self, tmp_path, trips):
         doubled = [t for trip in trips for t in (trip, trip)]
         runtime = wrap(tmp_path)
-        runtime.serve(doubled)
+        outcomes = runtime.serve(doubled)
         runtime.consistency_check()
         assert runtime.duplicates == len(trips)
         assert runtime.served == len(trips)
-        assert len(runtime.inner.service.responses) == len(trips)
+        assert runtime.inner.service.handled == len(trips)
+        assert len(responses_of(outcomes)) == len(trips)
 
 
 class TestSelfHeal:
     def test_planner_fault_heals_to_the_unfaulted_state(self, tmp_path, trips):
         reference = wrap(tmp_path, "ref")
-        reference.serve(trips)
+        expected = reference.serve(trips)
 
         runtime = wrap(tmp_path, "faulty")
+        outcomes = []
         for trip in trips[:30]:
-            runtime.ingest(trip)
+            outcomes.extend(runtime.ingest(trip))
         planner = runtime.inner.service.planner
 
         def poisoned_offer(point):
@@ -73,8 +77,8 @@ class TestSelfHeal:
 
         planner.offer = poisoned_offer
         for trip in trips[30:]:
-            runtime.ingest(trip)
-        runtime.finish()
+            outcomes.extend(runtime.ingest(trip))
+        outcomes.extend(runtime.finish())
         runtime.consistency_check()
         assert runtime.healed >= 1
         assert runtime.incidents.by_kind["planner_error"] >= 1
@@ -82,10 +86,7 @@ class TestSelfHeal:
         assert not runtime.degraded_decisions
         # the failed trip was journaled, so the heal replays it through a
         # healthy planner: the outcome is bit-identical to a clean run
-        assert (
-            runtime.inner.service.responses
-            == reference.inner.service.responses
-        )
+        assert outcomes == expected
         assert scrub(runtime.inner.service.state_dict()) == scrub(
             reference.inner.service.state_dict()
         )
@@ -196,11 +197,12 @@ class TestCheckpointRetry:
 class TestRecover:
     def test_recover_resumes_bit_identically(self, tmp_path, trips):
         reference = wrap(tmp_path, "ref")
-        reference.serve(trips)
+        expected = reference.serve(trips)
 
         runtime = wrap(tmp_path, "killed")
+        before = []
         for trip in trips[:33]:
-            runtime.ingest(trip)
+            before.extend(runtime.ingest(trip))
         runtime.close()  # the crash: buffer contents and breakers are lost
 
         resumed = GuardedRuntime.recover(
@@ -209,12 +211,11 @@ class TestRecover:
         )
         # at-least-once upstream: re-feed the whole stream; the duplicate
         # screen drops what the dead run already served
-        resumed.serve(trips)
+        after = resumed.serve(trips)
         resumed.consistency_check()
-        assert (
-            resumed.inner.service.responses
-            == reference.inner.service.responses
-        )
+        assert recovered_outcomes(before, resumed.inner) + responses_of(
+            after
+        ) == responses_of(expected)
         assert scrub(resumed.inner.service.state_dict()) == scrub(
             reference.inner.service.state_dict()
         )

@@ -20,6 +20,7 @@ from repro.geo.points import Point
 from repro.resilience import CheckpointingService, constant_cost_spec
 from repro.resilience.journal import TripJournal
 
+from ..oracles.outcomes import recovered_outcomes
 from .conftest import COST_VALUE, build_service, make_trips, scrub
 
 CHECKPOINT_EVERY = 10
@@ -179,7 +180,7 @@ class TestHandleBlock:
             got.extend(blocked.handle_block(stream[lo : lo + 16]))
 
         assert got == want  # None markers for duplicates line up too
-        assert blocked.service.responses == scalar.service.responses
+        assert blocked.service.handled == scalar.service.handled
         assert blocked.applied_seq == scalar.applied_seq
         assert scrub(blocked.service.state_dict()) == scrub(
             scalar.service.state_dict()
@@ -204,7 +205,7 @@ class TestHandleBlock:
     def test_mid_block_failure_surfaces_block_apply_error(self, tmp_path):
         trips = make_trips(30, seed=9)
         service = build(tmp_path, "faulty")
-        service.handle_block(trips[:10])
+        served = service.handle_block(trips[:10])
 
         planner = service.service.planner
         real_offer = planner.offer
@@ -243,8 +244,9 @@ class TestHandleBlock:
             durable=False,
         )
         reference = build(tmp_path, "reference")
-        reference.serve(trips[:25])
-        assert healed.service.responses == reference.service.responses
+        expected = reference.serve(trips[:25])
+        served += list(err.outcomes)
+        assert recovered_outcomes(served, healed) == expected
         assert scrub(healed.service.state_dict()) == scrub(
             reference.service.state_dict()
         )

@@ -19,6 +19,7 @@ from repro.resilience import (
 )
 from repro.resilience.snapshot import SNAPSHOT_VERSION
 
+from ..oracles.outcomes import recovered_outcomes
 from .conftest import COST_VALUE, build_service, make_trips, scrub
 
 SPEC = constant_cost_spec(COST_VALUE)
@@ -42,14 +43,16 @@ class TestKillAtEveryTrip:
         trips = make_trips(n, seed=11, shift_at=n // 2)
         reference = build_service(seed=11)
         wrapped = make_wrapped(tmp_path / "run", seed=11)
+        served, expected = [], []
         for k, trip in enumerate(trips, start=1):
-            wrapped.handle_trip(trip)
-            reference.handle_trip(trip)
+            served.append(wrapped.handle_trip(trip))
+            expected.append(reference.handle_trip(trip))
             # The directory right now is exactly what a crash immediately
             # after trip k leaves behind: recover from it and compare.
             recovered = CheckpointingService.recover(tmp_path / "run", durable=False)
             assert recovered.applied_seq == k
-            assert recovered.service.responses == reference.responses, (
+            assert recovered.service.handled == k
+            assert recovered_outcomes(served, recovered) == expected, (
                 f"response stream diverged after crash at trip {k}"
             )
             assert scrub(recovered.service.state_dict()) == scrub(
@@ -70,17 +73,16 @@ class TestKillAtEveryTrip:
         """Crash once, recover, finish — end state equals the reference."""
         trips = make_trips(200, seed=12, shift_at=100)
         reference = build_service(seed=12)
-        for t in trips:
-            reference.handle_trip(t)
+        expected = [reference.handle_trip(t) for t in trips]
         wrapped = make_wrapped(tmp_path / "run", seed=12)
-        for t in trips[:137]:  # not on a checkpoint boundary
-            wrapped.handle_trip(t)
+        # not on a checkpoint boundary
+        served = [wrapped.handle_trip(t) for t in trips[:137]]
         wrapped.close()
         recovered = CheckpointingService.recover(tmp_path / "run", durable=False)
-        for t in trips[137:]:
-            recovered.handle_trip(t)
+        assert recovered.last_recovery.replayed == 137 - 125
+        after = [recovered.handle_trip(t) for t in trips[137:]]
         recovered.consistency_check()
-        assert recovered.service.responses == reference.responses
+        assert recovered_outcomes(served, recovered) + after == expected
         assert scrub(recovered.service.state_dict()) == scrub(reference.state_dict())
         recovered.close()
 
@@ -89,11 +91,9 @@ class TestTornSnapshotFallback:
     def test_falls_back_to_previous_good_generation(self, tmp_path):
         trips = make_trips(120, seed=13)
         reference = build_service(seed=13)
-        for t in trips:
-            reference.handle_trip(t)
+        expected = [reference.handle_trip(t) for t in trips]
         wrapped = make_wrapped(tmp_path / "run", seed=13, keep=10)
-        for t in trips[:110]:
-            wrapped.handle_trip(t)
+        served = [wrapped.handle_trip(t) for t in trips[:110]]
         wrapped.close()
         # Tear the newest snapshot (seq 100); recovery must fall back to
         # seq 75 and replay a longer journal tail — same final state.
@@ -102,10 +102,9 @@ class TestTornSnapshotFallback:
         recovered = CheckpointingService.recover(tmp_path / "run", durable=False)
         assert recovered.last_recovery.snapshot_seq == 75
         assert recovered.last_recovery.replayed == 35
-        for t in trips[110:]:
-            recovered.handle_trip(t)
+        after = [recovered.handle_trip(t) for t in trips[110:]]
         recovered.consistency_check()
-        assert recovered.service.responses == reference.responses
+        assert recovered_outcomes(served, recovered) + after == expected
         assert scrub(recovered.service.state_dict()) == scrub(reference.state_dict())
         recovered.close()
 
@@ -118,12 +117,14 @@ class TestDegenerateRecovery:
         recovered = CheckpointingService.recover(tmp_path / "run", durable=False)
         assert recovered.applied_seq == 0
         assert recovered.last_recovery.replayed == 0
-        assert recovered.service.responses == []
+        assert recovered.last_recovery.responses == ()
+        assert recovered.service.handled == 0
         reference = build_service(seed=14)
-        for t in make_trips(30, seed=14):
-            recovered.handle_trip(t)
-            reference.handle_trip(t)
-        assert recovered.service.responses == reference.responses
+        trips = make_trips(30, seed=14)
+        served = [recovered.handle_trip(t) for t in trips]
+        expected = [reference.handle_trip(t) for t in trips]
+        assert served == expected
+        assert recovered.service.handled == reference.handled == 30
         recovered.close()
 
     def test_all_offline_stations_retired_restore(self, tmp_path):
@@ -145,9 +146,11 @@ class TestDegenerateRecovery:
         assert restored.active_station_ids == []
         assert restored.retired == service.retired
         trip = make_trips(1, seed=15)[0]
-        assert restored.handle_trip(trip).served is False
-        assert service.handle_trip(trip).served is False
-        assert restored.responses == service.responses
+        refused = restored.handle_trip(trip)
+        assert refused.served is False
+        expected = service.handle_trip(trip)
+        assert expected == refused
+        assert restored.handled == service.handled == 1
 
     def test_double_restore_is_idempotent(self, tmp_path):
         wrapped = make_wrapped(tmp_path / "run", seed=16)
@@ -157,7 +160,8 @@ class TestDegenerateRecovery:
         first = CheckpointingService.recover(tmp_path / "run", durable=False)
         second = CheckpointingService.recover(tmp_path / "run", durable=False)
         assert first.applied_seq == second.applied_seq == 40
-        assert first.service.responses == second.service.responses
+        assert first.last_recovery == second.last_recovery
+        assert len(first.last_recovery.responses) == 40 - 25
         assert scrub(first.service.state_dict()) == scrub(
             second.service.state_dict()
         )
@@ -211,12 +215,12 @@ class TestDedup:
             if i % 3 == 0:
                 noisy.append(t)  # immediate redelivery
         reference = build_service(seed=19)
-        for t in trips:
-            reference.handle_trip(t)
+        expected = [reference.handle_trip(t) for t in trips]
         wrapped = make_wrapped(tmp_path / "run", seed=19)
         responses = [wrapped.handle_trip(t) for t in noisy]
         assert responses.count(None) == len(noisy) - len(trips)
-        assert wrapped.service.responses == reference.responses
+        assert [r for r in responses if r is not None] == expected
+        assert wrapped.service.handled == len(trips)
         # Only unique trips reached the journal.
         assert wrapped.journal.next_seq == len(trips) + 1
         wrapped.close()
@@ -224,8 +228,7 @@ class TestDedup:
     def test_dedup_survives_recovery(self, tmp_path):
         trips = make_trips(40, seed=20)
         wrapped = make_wrapped(tmp_path / "run", seed=20)
-        for t in trips[:20]:
-            wrapped.handle_trip(t)
+        served = [wrapped.handle_trip(t) for t in trips[:20]]
         wrapped.close()
         recovered = CheckpointingService.recover(tmp_path / "run", durable=False)
         # An at-least-once upstream redelivers everything after a crash.
@@ -233,9 +236,8 @@ class TestDedup:
         assert all(r is None for r in responses[:20])
         assert all(r is not None for r in responses[20:])
         reference = build_service(seed=20)
-        for t in trips:
-            reference.handle_trip(t)
-        assert recovered.service.responses == reference.responses
+        expected = [reference.handle_trip(t) for t in trips]
+        assert recovered_outcomes(served, recovered) + responses[20:] == expected
         recovered.close()
 
 

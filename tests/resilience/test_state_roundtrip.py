@@ -141,16 +141,21 @@ class TestPlannerContinuation:
     def test_state_without_history_drops_decisions_only(self):
         service = build_service(seed=51)
         planner = service.planner
-        for dest in [t.end for t in make_trips(20, seed=51)]:
+        dests = [t.end for t in make_trips(40, seed=51)]
+        for dest in dests[:20]:
             planner.offer(dest)
-        slim = planner.state_dict(include_history=False)
-        assert slim["decisions"] is None
+        slim = planner.state_dict()
+        assert "decisions" not in slim
         restored = EsharingPlanner.from_state(
             json_roundtrip(slim), constant_facility_cost(COST_VALUE)
         )
         assert restored.decisions == []
         assert restored.walking == planner.walking
         assert restored.stations == planner.stations
+        # Only the trace is dropped: both continue with the same decisions.
+        continued = [restored.offer(dest) for dest in dests[20:]]
+        assert continued == [planner.offer(dest) for dest in dests[20:]]
+        assert restored.decisions == planner.decisions[20:]
 
 
 class TestServiceRoundtrip:
@@ -158,17 +163,15 @@ class TestServiceRoundtrip:
         trips = make_trips(120, seed=61)
         reference = build_service(seed=61)
         twin = build_service(seed=61)
-        for t in trips[:60]:
-            reference.handle_trip(t)
-            twin.handle_trip(t)
+        expected = [reference.handle_trip(t) for t in trips]
+        served = [twin.handle_trip(t) for t in trips[:60]]
         restored = PlacementService.from_state(
             json_roundtrip(twin.state_dict()),
             constant_facility_cost(COST_VALUE),
         )
-        for t in trips[60:]:
-            reference.handle_trip(t)
-            restored.handle_trip(t)
-        assert restored.responses == reference.responses
+        served += [restored.handle_trip(t) for t in trips[60:]]
+        assert served == expected
+        assert restored.handled == reference.handled == len(trips)
         assert scrub(restored.state_dict()) == scrub(reference.state_dict())
         restored.consistency_check()
 
